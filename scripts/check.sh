@@ -19,7 +19,8 @@
 #   --obs-smoke    also run the observability smoke (traced BFS through
 #                  gmt_cli; validates trace JSON and the stats report)
 #   --soak         also run the kill-a-node-mid-BFS membership soak 20x
-#                  with rotating victims, kill points and graph seeds
+#                  with rotating victims, kill points and graph seeds,
+#                  then the kill-a-node-mid-sort test 20x
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -94,6 +95,19 @@ if [[ "$soak" == 1 ]]; then
       echo "  GMT_FAULT_KILL_NODE=$victim GMT_FAULT_KILL_AT=$((50 + i * 97)) \\" >&2
       echo "  GMT_FAULT_SEED=$((24049 + i)) $builddir/tests/test_membership \\" >&2
       echo "  --gtest_filter='*KillMidBfs*'" >&2
+      exit 1
+    fi
+  done
+
+  echo "== histogram-sort soak: kill-a-node-mid-sort x20 =="
+  for i in $(seq 0 19); do
+    if "$builddir/tests/test_sort" \
+       --gtest_filter='Sort.KillMidSortRecoversExactly' > /dev/null 2>&1; then
+      echo "  iteration $i ok"
+    else
+      echo "  iteration $i FAILED; re-run with:" >&2
+      echo "  $builddir/tests/test_sort \\" >&2
+      echo "  --gtest_filter='Sort.KillMidSortRecoversExactly'" >&2
       exit 1
     fi
   done

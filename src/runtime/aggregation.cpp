@@ -423,8 +423,6 @@ void Aggregator::drain_dead(std::uint32_t dst) {
     recycle_block(block);
     block = nullptr;
   }
-  if (queue.queued_bytes.load(std::memory_order_relaxed) == 0)
-    queue.oldest_ns.store(0, std::memory_order_relaxed);
 }
 
 void Aggregator::push_block(AggregationSlot& slot, std::uint32_t dst) {
@@ -434,6 +432,12 @@ void Aggregator::push_block(AggregationSlot& slot, std::uint32_t dst) {
 
   DestQueue& queue = *queues_[dst];
   const std::uint64_t bytes = block->bytes();
+  // Count (and stamp an empty queue) before publishing: no pop can then
+  // precede the count, so queued_bytes never dips below the bytes actually
+  // queued, and a non-zero count always carries a past stamp.
+  const std::uint64_t prev =
+      queue.queued_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  if (prev == 0) queue.oldest_ns.store(wall_ns(), std::memory_order_relaxed);
   // Sized to the block-pool population plus emergency headroom, the queue
   // can never be genuinely full — but a Vyukov push can fail transiently
   // while concurrent pops are mid-flight, so retry.
@@ -443,10 +447,6 @@ void Aggregator::push_block(AggregationSlot& slot, std::uint32_t dst) {
                   "aggregation queue overflow (sized to pool population)");
     push_backoff.pause();
   }
-  const std::uint64_t now = wall_ns();
-  const std::uint64_t prev =
-      queue.queued_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  if (prev == 0) queue.oldest_ns.store(now, std::memory_order_relaxed);
 
   // Enough queued for a full network buffer? Aggregate now (paper step 4).
   if (prev + bytes >= config_.buffer_size) {
@@ -528,8 +528,6 @@ void Aggregator::aggregate(AggregationSlot& slot, std::uint32_t dst,
       buffer_pool_.release(buffer);
     }
   }
-  if (queue.queued_bytes.load(std::memory_order_relaxed) == 0)
-    queue.oldest_ns.store(0, std::memory_order_relaxed);
   if (tracing && drained_bytes > 0)
     obs::trace_complete("buffer.flush", trace_start_ns, wall_ns(),
                         drained_bytes);
@@ -586,12 +584,13 @@ void Aggregator::poll_flush(AggregationSlot& slot, std::uint64_t now_ns) {
           stats_.adaptive_block_ns.observe(block_timeout);
       }
     }
-    const std::uint64_t oldest =
-        queue.oldest_ns.load(std::memory_order_relaxed);
-    if (oldest != 0 && now_ns - oldest >= queue_timeout) {
+    const std::uint64_t queued =
+        queue.queued_bytes.load(std::memory_order_relaxed);
+    if (queued != 0 &&
+        now_ns - queue.oldest_ns.load(std::memory_order_relaxed) >=
+            queue_timeout) {
       if (config_.adaptive_flush &&
-          queue.queued_bytes.load(std::memory_order_relaxed) <
-              config_.buffer_size * kAdaptiveFillNum / kAdaptiveFillDen) {
+          queued < config_.buffer_size * kAdaptiveFillNum / kAdaptiveFillDen) {
         // AIMD shrink: the deadline fired with the queue mostly empty, so
         // waiting bought almost no coalescing — it was pure latency. Halve
         // it so light traffic converges to the floor fast.

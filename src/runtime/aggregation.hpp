@@ -371,8 +371,13 @@ class Aggregator {
   struct alignas(kCacheLine) DestQueue {
     explicit DestQueue(std::size_t capacity) : blocks(capacity) {}
     MpmcQueue<CommandBlock*> blocks;
+    // The only emptiness signal. push_block counts a block's bytes before
+    // publishing it and stamps `oldest_ns` when the count leaves 0; nothing
+    // clears the stamp. So whenever queued_bytes != 0 the stamp is a past
+    // wall time and the queue's deadline always arrives; a race can only
+    // leave an older stamp (an early flush, never a missed one).
     std::atomic<std::uint64_t> queued_bytes{0};
-    std::atomic<std::uint64_t> oldest_ns{0};  // 0 = empty
+    std::atomic<std::uint64_t> oldest_ns{0};
     // Flow control: remaining send credits toward this destination (signed:
     // overdraft, see credits_available), the peer's last applied cumulative
     // grant, and our own cumulative drained count *from* this peer.

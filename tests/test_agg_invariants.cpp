@@ -20,6 +20,9 @@
 //  - Credit suite: the flow-control state machine driven directly (no comm
 //    server): consumption per shipped buffer, the overdraft bound, grant
 //    wrap-around, and drain/grant bookkeeping.
+//  - Deadline race: two threads push blocks against each other's forced
+//    aggregation in lock-step rounds; every queued block must keep a flush
+//    deadline.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/backoff.hpp"
 #include "common/time.hpp"
 #include "net/frame.hpp"
 #include "obs/metrics.hpp"
@@ -255,6 +259,73 @@ TEST(AggInvariants, ConcurrentRandomTrafficLosesNothing) {
     for (std::uint64_t i = 0; i < kPerThread; ++i)
       ASSERT_EQ(seen[t][i], 1u) << "thread " << t << " command " << i
                                 << (seen[t][i] ? " duplicated" : " lost");
+  EXPECT_TRUE(agg.idle());
+}
+
+// Queue emptiness has one owner, queued_bytes: push_block counts a block
+// before publishing it and stamps the deadline when the count leaves 0, and
+// nothing clears the stamp. Two threads race push_block against each
+// other's forced aggregate() in lock-step rounds (spin-released, so both
+// start within a cache miss of each other); any block left queued without a
+// deadline survives the main thread's far-future poll_flush and shows as
+// !idle(). Clearing the stamp in aggregate() strands dozens of rounds here.
+TEST(AggInvariants, QueuedBlockAlwaysHasDeadline) {
+  Config config = small_config();
+  config.num_buf_per_channel = 16;
+  constexpr std::uint32_t kDst = 1;
+  constexpr int kRounds = 200'000;
+  Aggregator agg(config, /*nodes=*/2, /*threads=*/2);
+  const std::uint64_t far_future = ~std::uint64_t{0} / 2;
+
+  std::atomic<int> go{-1};   // round the racers may start
+  std::atomic<int> done{0};  // racer-rounds finished
+  const auto spin_until = [](const auto& ready) {
+    for (int i = 0; !ready(); ++i) {
+      if (i < 4096)
+        cpu_relax();
+      else
+        std::this_thread::yield();
+    }
+  };
+  std::vector<std::thread> racers;
+  for (std::uint32_t t = 0; t < 2; ++t) {
+    racers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        spin_until([&] { return go.load(std::memory_order_acquire) == round; });
+        agg.append(agg.slot(t), kDst,
+                   make_tagged(t, static_cast<std::uint64_t>(round), 0),
+                   nullptr);
+        agg.poll_flush(agg.slot(t), far_future);
+        done.fetch_add(1, std::memory_order_acq_rel);
+      }
+    });
+  }
+
+  std::uint64_t delivered = 0;
+  int stranded_rounds = 0;
+  std::vector<Decoded> out;
+  for (int round = 0; round < kRounds; ++round) {
+    go.store(round, std::memory_order_release);
+    spin_until([&] {
+      return done.load(std::memory_order_acquire) == 2 * (round + 1);
+    });
+    drain_channels(agg, &out);
+    agg.poll_flush(agg.slot(0), far_future);
+    drain_channels(agg, &out);
+    if (!agg.idle()) {
+      // Count it, then recover so later rounds still race from empty.
+      ++stranded_rounds;
+      agg.flush_all(agg.slot(0));
+      drain_channels(agg, &out);
+    }
+    delivered += out.size();
+    out.clear();
+  }
+  for (std::thread& racer : racers) racer.join();
+
+  EXPECT_EQ(stranded_rounds, 0)
+      << "rounds whose queued block had no flush deadline";
+  EXPECT_EQ(delivered, 2u * kRounds);
   EXPECT_TRUE(agg.idle());
 }
 

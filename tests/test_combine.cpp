@@ -15,7 +15,6 @@
 #include "kernels/histogram_gmt.hpp"
 #include "net/faulty_transport.hpp"
 #include "runtime/cluster.hpp"
-#include "runtime/stats_report.hpp"
 #include "test_util.hpp"
 
 namespace gmt {
@@ -76,15 +75,17 @@ TEST_P(HistogramExact, MatchesHostCounts) {
     gmt_free(kh);
   });
 
-  const rt::ClusterStatsSummary summary = rt::summarize_stats(cluster);
+  const obs::Snapshot snap = test::cluster_snapshot(cluster);
+  const std::uint64_t hits = snap.counter(obs::names::kAggCombineHits);
+  const std::uint64_t installs = snap.counter(obs::names::kAggCombineInstalls);
   if (hc.combine && hc.mode == kernels::HistogramMode::kDirect) {
     // Zipf 1.1 direct increments must actually combine: hot buckets hit
     // resident entries, and every hit is a command that never hit the wire.
-    EXPECT_GT(summary.commands_elided(), 0u);
-    EXPECT_GT(summary.combine_installs, 0u);
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(installs, 0u);
   } else if (!hc.combine) {
-    EXPECT_EQ(summary.combine_installs, 0u);
-    EXPECT_EQ(summary.combine_hits, 0u);
+    EXPECT_EQ(installs, 0u);
+    EXPECT_EQ(hits, 0u);
   }
 }
 
@@ -142,8 +143,9 @@ TEST(Combine, PutDedupLastWriterWins) {
     gmt_free(h);
   });
 
-  const rt::ClusterStatsSummary summary = rt::summarize_stats(cluster);
-  EXPECT_GT(summary.commands_elided(), 0u);
+  EXPECT_GT(test::cluster_snapshot(cluster).counter(
+                obs::names::kAggCombineHits),
+            0u);
 }
 
 // Fire-and-forget atomics against a replicated array bypass combining and
@@ -224,8 +226,9 @@ TEST(Combine, KillMidStreamFailsCombinedOpsNodeLost) {
   });
 
   EXPECT_TRUE(cluster.faulty_transport(2)->killed());
-  const rt::ClusterStatsSummary summary = rt::summarize_stats(cluster);
-  EXPECT_GT(summary.ops_failed_node_lost, 0u);
+  EXPECT_GT(
+      test::cluster_snapshot(cluster).counter(obs::names::kMembOpsFailed),
+      0u);
 }
 
 // The fault matrix with combining on: drops, duplicates, corruption and
@@ -262,9 +265,9 @@ TEST(Combine, LossyNetworkExactCounts) {
 
   const net::FaultCountersSnapshot faults = cluster.total_fault_counters();
   EXPECT_GT(faults.total(), 0u);
-  const rt::ClusterStatsSummary summary = rt::summarize_stats(cluster);
-  EXPECT_GT(summary.commands_elided(), 0u);
-  EXPECT_GT(summary.retransmits, 0u);
+  const obs::Snapshot snap = test::cluster_snapshot(cluster);
+  EXPECT_GT(snap.counter(obs::names::kAggCombineHits), 0u);
+  EXPECT_GT(snap.counter(obs::names::kRelRetransmits), 0u);
 }
 
 }  // namespace

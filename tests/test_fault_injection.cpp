@@ -19,7 +19,6 @@
 #include "obs/metrics.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/reliable_channel.hpp"
-#include "runtime/stats_report.hpp"
 #include "test_util.hpp"
 
 namespace gmt {
@@ -418,16 +417,16 @@ TEST_P(FaultMatrix, BfsAndChmaSurviveWithCorrectResults) {
   }
 
   // ...and the reliability layer visibly recovered from them.
-  rt::ClusterStatsSummary summary = rt::summarize_stats(cluster);
-  EXPECT_GT(summary.data_frames_sent, 0u);
+  const obs::Snapshot snap = test::cluster_snapshot(cluster);
+  EXPECT_GT(snap.counter(obs::names::kRelDataFrames), 0u);
   if (fc.expect_retransmits) {
-    EXPECT_GT(summary.retransmits, 0u);
+    EXPECT_GT(snap.counter(obs::names::kRelRetransmits), 0u);
   }
   if (fc.expect_dup_suppressed) {
-    EXPECT_GT(summary.dup_suppressed, 0u);
+    EXPECT_GT(snap.counter(obs::names::kRelDupSuppressed), 0u);
   }
   if (fc.expect_crc_drops) {
-    EXPECT_GT(summary.crc_drops, 0u);
+    EXPECT_GT(snap.counter(obs::names::kRelCrcDrops), 0u);
   }
 }
 
@@ -487,15 +486,16 @@ TEST(FlowControl, CreditStarvationSoakMakesForwardProgress) {
   EXPECT_GT(faults.drops, 0u);
   EXPECT_GT(faults.backpressures, 0u);
 
-  const rt::ClusterStatsSummary summary = rt::summarize_stats(cluster);
-  EXPECT_GT(summary.retransmits, 0u);          // the network really hurt
-  EXPECT_GT(summary.credits_consumed, 0u);     // window was exercised
-  EXPECT_GT(summary.credits_granted, 0u);      // grants flowed back
+  const obs::Snapshot snap = test::cluster_snapshot(cluster);
+  const std::uint64_t consumed = snap.counter(obs::names::kAggCreditsConsumed);
+  const std::uint64_t granted = snap.counter(obs::names::kAggCreditsGranted);
+  EXPECT_GT(snap.counter(obs::names::kRelRetransmits), 0u);  // network hurt
+  EXPECT_GT(consumed, 0u);  // window was exercised
+  EXPECT_GT(granted, 0u);   // grants flowed back
   // Every buffer shipped consumed a credit; every buffer drained granted
   // one. Retransmitted buffers don't re-consume, so consumed <= granted +
   // (window still open) is the steady-state bound after quiescence.
-  EXPECT_LE(summary.credits_consumed,
-            summary.credits_granted + 2ull * 3 * 3);
+  EXPECT_LE(consumed, granted + 2ull * 3 * 3);
 }
 
 TEST(FlowControl, TinyWindowCleanNetworkStillCompletes) {
@@ -521,9 +521,9 @@ TEST(FlowControl, TinyWindowCleanNetworkStillCompletes) {
     gmt_free(h);
   });
 
-  const rt::ClusterStatsSummary summary = rt::summarize_stats(cluster);
-  EXPECT_GT(summary.credits_consumed, 0u);
-  EXPECT_GT(summary.credits_granted, 0u);
+  const obs::Snapshot snap = test::cluster_snapshot(cluster);
+  EXPECT_GT(snap.counter(obs::names::kAggCreditsConsumed), 0u);
+  EXPECT_GT(snap.counter(obs::names::kAggCreditsGranted), 0u);
 }
 
 TEST(FaultFree, ReliableTransportAloneStaysCorrect) {
@@ -544,12 +544,12 @@ TEST(FaultFree, ReliableTransportAloneStaysCorrect) {
     dist.destroy();
   });
 
-  const rt::ClusterStatsSummary summary = rt::summarize_stats(cluster);
-  EXPECT_GT(summary.data_frames_sent, 0u);
+  const obs::Snapshot snap = test::cluster_snapshot(cluster);
+  EXPECT_GT(snap.counter(obs::names::kRelDataFrames), 0u);
   // No corruption is possible without an injector. Retransmissions (and
   // the duplicate suppressions they cause) can still occur legitimately:
   // on an oversubscribed host the ack may simply arrive after the RTO.
-  EXPECT_EQ(summary.crc_drops, 0u);
+  EXPECT_EQ(snap.counter(obs::names::kRelCrcDrops), 0u);
   EXPECT_EQ(cluster.total_fault_counters().total(), 0u);
 }
 

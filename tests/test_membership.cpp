@@ -19,7 +19,6 @@
 #include "net/faulty_transport.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/membership.hpp"
-#include "runtime/stats_report.hpp"
 #include "test_util.hpp"
 
 namespace gmt {
@@ -140,14 +139,16 @@ TEST(Membership, KillCommitsEpochAndFailsOpsNodeLost) {
   EXPECT_GT(m0->first_suspect_ns(), 0u);
   EXPECT_GE(m0->last_commit_ns(), m0->first_suspect_ns());
 
-  const rt::ClusterStatsSummary summary = rt::summarize_stats(cluster);
-  EXPECT_GE(summary.membership_epoch, 1u);
-  EXPECT_GE(summary.epoch_commits, 1u);
-  EXPECT_GE(summary.peers_lost, 2u);  // nodes 0 and 1 each declared node 2
-  EXPECT_GT(summary.heartbeats_sent, 0u);
-  EXPECT_GT(summary.ops_failed_node_lost, 0u);
-  EXPECT_GT(summary.arrays_degraded, 0u);
-  EXPECT_EQ(summary.arrays_remapped, 0u);  // replication was off
+  const obs::Snapshot snap = test::cluster_snapshot(cluster);
+  EXPECT_GE(snap.gauge(obs::names::kMembEpoch), 1);
+  EXPECT_GE(snap.counter(obs::names::kMembEpochCommits), 1u);
+  // Nodes 0 and 1 each declared node 2.
+  EXPECT_GE(snap.counter(obs::names::kMembPeersLost), 2u);
+  EXPECT_GT(snap.counter(obs::names::kMembHeartbeats), 0u);
+  EXPECT_GT(snap.counter(obs::names::kMembOpsFailed), 0u);
+  EXPECT_GT(snap.counter(obs::names::kMemArraysDegraded), 0u);
+  // Replication was off.
+  EXPECT_EQ(snap.counter(obs::names::kMemArraysRemapped), 0u);
 }
 
 // With GMT_REPLICATE on, a small partitioned array survives the death of a
@@ -216,9 +217,9 @@ TEST(Membership, ReplicatedArraySurvivesPartitionLoss) {
     gmt_clear_error();
   });
 
-  const rt::ClusterStatsSummary summary = rt::summarize_stats(cluster);
-  EXPECT_GE(summary.membership_epoch, 1u);
-  EXPECT_GT(summary.arrays_remapped, 0u);
+  const obs::Snapshot snap = test::cluster_snapshot(cluster);
+  EXPECT_GE(snap.gauge(obs::names::kMembEpoch), 1);
+  EXPECT_GT(snap.counter(obs::names::kMemArraysRemapped), 0u);
 }
 
 // The kill-mid-BFS soak: a node dies while a BFS is traversing a graph
@@ -292,9 +293,9 @@ TEST(Membership, KillMidBfsSurvivorsRecoverExactly) {
       cluster.faulty_transport(config.fault.kill_node);
   ASSERT_NE(victim, nullptr);
   EXPECT_TRUE(victim->killed());
-  const rt::ClusterStatsSummary summary = rt::summarize_stats(cluster);
-  EXPECT_GE(summary.membership_epoch, 1u);
-  EXPECT_GT(summary.arrays_remapped, 0u);
+  const obs::Snapshot snap = test::cluster_snapshot(cluster);
+  EXPECT_GE(snap.gauge(obs::names::kMembEpoch), 1);
+  EXPECT_GT(snap.counter(obs::names::kMemArraysRemapped), 0u);
 }
 
 // Without replication the data on the lost partitions is gone: the run must
@@ -328,10 +329,10 @@ TEST(Membership, KillMidBfsWithoutReplicationTerminatesWithError) {
     EXPECT_EQ(err, GMT_ERR_NODE_LOST);
   });
 
-  const rt::ClusterStatsSummary summary = rt::summarize_stats(cluster);
-  EXPECT_GE(summary.membership_epoch, 1u);
-  EXPECT_GT(summary.arrays_degraded, 0u);
-  EXPECT_GT(summary.ops_failed_node_lost, 0u);
+  const obs::Snapshot snap = test::cluster_snapshot(cluster);
+  EXPECT_GE(snap.gauge(obs::names::kMembEpoch), 1);
+  EXPECT_GT(snap.counter(obs::names::kMemArraysDegraded), 0u);
+  EXPECT_GT(snap.counter(obs::names::kMembOpsFailed), 0u);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "net/faulty_transport.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/collectives.hpp"
-#include "runtime/stats_report.hpp"
 #include "test_util.hpp"
 
 namespace gmt {
@@ -362,8 +361,7 @@ TEST(Sort, KillMidSortRecoversExactly) {
       cluster.faulty_transport(config.fault.kill_node);
   ASSERT_NE(victim, nullptr);
   EXPECT_TRUE(victim->killed());
-  const rt::ClusterStatsSummary summary = rt::summarize_stats(cluster);
-  EXPECT_GE(summary.membership_epoch, 1u);
+  EXPECT_GE(test::cluster_snapshot(cluster).gauge(obs::names::kMembEpoch), 1);
 }
 
 }  // namespace

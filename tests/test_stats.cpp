@@ -1,15 +1,19 @@
-// Tests for the runtime statistics reporting.
+// Tests for the runtime statistics: per-node registry counters and the
+// public gmt::stats_report().
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 
 #include "gmt/gmt.hpp"
+#include "gmt/obs.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/cluster.hpp"
-#include "runtime/stats_report.hpp"
 #include "test_util.hpp"
 
 namespace gmt::rt {
 namespace {
+
+namespace names = obs::names;
 
 TEST(StatsReport, CountersReflectWork) {
   Cluster cluster(2, Config::testing());
@@ -20,14 +24,15 @@ TEST(StatsReport, CountersReflectWork) {
     });
     gmt_free(h);
   });
-  const ClusterStatsSummary summary = summarize_stats(cluster);
-  EXPECT_GE(summary.iterations_executed, 257u);  // 256 body + root
-  EXPECT_GT(summary.tasks_executed, 0u);
-  EXPECT_GT(summary.ctx_switches, 0u);
-  EXPECT_GT(summary.remote_commands, 0u);
-  EXPECT_GT(summary.network_messages, 0u);
+  const obs::Snapshot snap = test::cluster_snapshot(cluster);
+  EXPECT_GE(snap.counter(names::kIterationsExecuted), 257u);  // 256 + root
+  EXPECT_GT(snap.counter(names::kTasksExecuted), 0u);
+  EXPECT_GT(snap.counter(names::kCtxSwitches), 0u);
+  EXPECT_GT(snap.counter(names::kRemoteOps), 0u);
+  EXPECT_GT(cluster.total_network_messages(), 0u);
   // Every remote command was executed somewhere.
-  EXPECT_GE(summary.commands_executed, summary.remote_commands);
+  EXPECT_GE(snap.counter(names::kCmdsExecuted),
+            snap.counter(names::kRemoteOps));
 }
 
 TEST(StatsReport, AggregationCoalesces) {
@@ -41,19 +46,26 @@ TEST(StatsReport, AggregationCoalesces) {
         Spawn::kLocal);
     gmt_free(h);
   });
-  const ClusterStatsSummary summary = summarize_stats(cluster);
-  EXPECT_GT(summary.commands_per_message(), 2.0);
+  const std::uint64_t messages = cluster.total_network_messages();
+  ASSERT_GT(messages, 0u);
+  const double commands_per_message =
+      static_cast<double>(
+          test::cluster_snapshot(cluster).counter(names::kRemoteOps)) /
+      static_cast<double>(messages);
+  EXPECT_GT(commands_per_message, 2.0);
 }
 
 TEST(StatsReport, FormatIsComplete) {
+  obs::clear_retired_snapshots();  // earlier clusters must not leak in
   Cluster cluster(2, Config::testing());
   test::run_task(cluster, [] {
     const gmt_handle h = gmt_new(1024, Alloc::kPartition);
     gmt_put_value(h, 512, 1, 8);
     gmt_free(h);
   });
-  const std::string report = format_stats_report(cluster);
-  EXPECT_NE(report.find("node"), std::string::npos);
+  const std::string report = gmt::stats_report();
+  EXPECT_NE(report.find("node0"), std::string::npos);
+  EXPECT_NE(report.find("node1"), std::string::npos);
   EXPECT_NE(report.find("network:"), std::string::npos);
   EXPECT_NE(report.find("commands/message"), std::string::npos);
   // One row per node plus header and summary.
@@ -67,47 +79,23 @@ TEST(StatsReport, LocalFastPathShowsInCounters) {
     for (int i = 0; i < 50; ++i) gmt_put_value(h, 8 * (i % 100), i, 8);
     gmt_free(h);
   });
-  const ClusterStatsSummary summary = summarize_stats(cluster);
-  EXPECT_GE(summary.local_ops, 50u);
-}
-
-// ---- per-message helper math edge cases ----
-
-TEST(StatsReport, RatiosAreNaNWithoutMessages) {
-  // A zero-message summary has no per-message averages; 0 would read as
-  // "aggregation did nothing", which is a different claim entirely.
-  ClusterStatsSummary summary;
-  EXPECT_TRUE(std::isnan(summary.commands_per_message()));
-  EXPECT_TRUE(std::isnan(summary.bytes_per_message()));
-  EXPECT_EQ(summary.mean_ack_latency_us(), 0.0);
-
-  summary.network_messages = 4;
-  summary.remote_commands = 10;
-  summary.network_bytes = 1024;
-  EXPECT_DOUBLE_EQ(summary.commands_per_message(), 2.5);
-  EXPECT_DOUBLE_EQ(summary.bytes_per_message(), 256.0);
-
-  summary.acked_frames = 2;
-  summary.ack_latency_ns = 4'000'000;
-  EXPECT_DOUBLE_EQ(summary.mean_ack_latency_us(), 2000.0);
+  EXPECT_GE(test::cluster_snapshot(cluster).counter(names::kLocalOps), 50u);
 }
 
 TEST(StatsReport, LocalOnlyRunOmitsRatioRow) {
-  // A single-node run never touches the network: the summary must report
-  // NaN ratios and the formatted report must drop the commands/message row
-  // instead of printing 0.
+  // A single-node run never touches the network: the report must drop the
+  // commands/message row instead of printing 0, which would read as
+  // "aggregation did nothing" rather than "there was nothing to aggregate".
+  obs::clear_retired_snapshots();
   Cluster cluster(1, Config::testing());
   test::run_task(cluster, [] {
     const gmt_handle h = gmt_new(1024, Alloc::kLocal);
     for (int i = 0; i < 20; ++i) gmt_put_value(h, 8 * i, i, 8);
     gmt_free(h);
   });
-  const ClusterStatsSummary summary = summarize_stats(cluster);
-  EXPECT_EQ(summary.network_messages, 0u);
-  EXPECT_TRUE(std::isnan(summary.commands_per_message()));
-  EXPECT_TRUE(std::isnan(summary.bytes_per_message()));
+  EXPECT_EQ(cluster.total_network_messages(), 0u);
 
-  const std::string report = format_stats_report(cluster);
+  const std::string report = gmt::stats_report();
   EXPECT_EQ(report.find("commands/message"), std::string::npos);
   EXPECT_NE(report.find("no remote traffic"), std::string::npos);
 }

@@ -10,6 +10,7 @@
 #include <functional>
 
 #include "gmt/gmt.hpp"
+#include "gmt/obs.hpp"
 #include "runtime/cluster.hpp"
 
 namespace gmt::test {
@@ -40,6 +41,15 @@ inline void parfor_lambda(std::uint64_t iterations, std::uint64_t chunk,
         (*fn)(i);
       },
       &ptr, sizeof(ptr), policy);
+}
+
+// Every node's metric registry merged into one snapshot (same-named
+// counters and gauges summed across nodes).
+inline obs::Snapshot cluster_snapshot(rt::Cluster& cluster) {
+  obs::Snapshot total;
+  for (std::uint32_t n = 0; n < cluster.num_nodes(); ++n)
+    total.merge(cluster.node(n).obs().snapshot());
+  return total;
 }
 
 }  // namespace gmt::test
